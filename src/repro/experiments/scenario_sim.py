@@ -174,8 +174,8 @@ def run_scenario(
                 row.extend([result.accepted_load, result.avg_latency])
             table.add(*row)
         # Flow-level saturation cross-check per traffic (optional: the
-        # max-min solve grows quadratic-ish on multi-thousand-terminal
-        # networks, so heavy sweeps can skip it).
+        # max-min solve is superlinear in the terminal count, so heavy
+        # sweeps can skip it).
         if flow_check:
             sat = ", ".join(
                 f"{label} {flow_level_throughput(net, traffic_name, flows_per_terminal=4, rng=seed):.3f}"

@@ -17,8 +17,11 @@ in the paper's fixed-random traffic.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from ..routing.updown import UpDownRouter
 from ..topologies.base import FoldedClos
@@ -33,62 +36,103 @@ __all__ = [
 LinkKey = Hashable
 
 
+def _gather(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Concatenated CSR index ranges ``ptr[i]:ptr[i + 1]`` for ``ids``."""
+    starts = ptr[ids]
+    counts = ptr[ids + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+def _distinct(ids: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """``ids`` without repeats, in no set order; ``mark`` is scratch
+    with one slot per possible id."""
+    order = np.arange(ids.size)
+    mark[ids] = order
+    return ids[mark[ids] == order]
+
+
 def max_min_rates(
     flows: Sequence[Sequence[LinkKey]],
     capacity: float = 1.0,
 ) -> list[float]:
-    """Progressive-filling max-min fair rates for unit-capacity links.
+    """Progressive-filling max-min fair rates on links of ``capacity``.
 
-    ``flows[i]`` is the sequence of link keys flow ``i`` traverses.  A
-    flow with an empty route (source = destination switch pairs never
-    produce one here, but callers may) gets rate ``capacity``.
+    ``flows[i]`` is the sequence of link keys flow ``i`` traverses; a
+    flow that visits a link k times consumes k units of it per unit of
+    rate.  A flow with an empty route gets rate ``capacity``.
+
+    Link keys map to dense ids once; the flow x link incidence is held
+    as CSR in both directions.  Each round takes ``increment =
+    min(remaining / weight)`` over the links still in use, subtracts
+    ``increment * weight`` from them, and freezes every flow on a
+    saturated link: one whose residue is within ``1e-12 * capacity``
+    of zero or which set the increment, so every round freezes at
+    least one flow.  Only the frozen flows' links get their weights
+    decremented, and a flow's rate is the running sum of the
+    increments up to the round it froze in.
     """
-    # Multiplicity-aware: a flow traversing a link k times consumes
-    # k units of it per unit of rate (up/down routes are simple, but
-    # callers may model multi-traversal routes).
-    remaining: dict[LinkKey, float] = {}
-    users: dict[LinkKey, dict[int, int]] = {}
-    for i, route in enumerate(flows):
-        for link in route:
-            remaining.setdefault(link, capacity)
-            counts = users.setdefault(link, {})
-            counts[i] = counts.get(i, 0) + 1
-    rates = [0.0] * len(flows)
-    active: set[int] = {i for i, route in enumerate(flows) if route}
-    for i, route in enumerate(flows):
-        if not route:
-            rates[i] = capacity
+    link_ids: dict[LinkKey, int] = {}
+    entry_link = np.array(
+        [link_ids.setdefault(link, len(link_ids)) for route in flows for link in route],
+        dtype=np.int32,
+    )
+    lengths = np.array([len(route) for route in flows], dtype=np.intp)
+    flow_ptr = np.zeros(len(flows) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=flow_ptr[1:])
+    users = np.bincount(entry_link, minlength=len(link_ids))
+    link_ptr = np.zeros(len(link_ids) + 1, dtype=np.intp)
+    np.cumsum(users, out=link_ptr[1:])
+    link_flows = np.repeat(np.arange(len(flows), dtype=np.int32), lengths)[
+        np.argsort(entry_link, kind="stable")
+    ]
 
+    # ``users`` counts each link's live entries by link id.  The
+    # per-link float state is held in slots, compacted once half of it
+    # is dead: ``live[k]`` is the link id in slot k and ``slot`` the
+    # inverse map.  A dead link (no users) gets remaining = inf and
+    # weight 1, so its room is inf and it never saturates.
+    live = np.arange(len(link_ids))
+    slot = live.copy()
+    remaining = np.full(len(link_ids), capacity, dtype=np.float64)
+    weight = users.astype(np.float64)
+    dead = 0
+    tolerance = 1e-12 * capacity
+    frozen_in = np.full(len(flows), -1, dtype=np.intp)
+    flow_mark = np.empty(len(flows), dtype=np.intp)
+    link_mark = np.empty(len(link_ids), dtype=np.intp)
+    increments: list[float] = []
+    active = int(np.count_nonzero(lengths))
     while active:
-        increment = None
-        for link, counts in users.items():
-            weight = sum(counts.values())
-            if weight == 0:
-                continue
-            room = remaining[link] / weight
-            if increment is None or room < increment:
-                increment = room
-        if increment is None:
-            break
-        saturated: list[LinkKey] = []
-        for link, counts in users.items():
-            weight = sum(counts.values())
-            if weight:
-                remaining[link] -= increment * weight
-                if remaining[link] <= 1e-12:
-                    saturated.append(link)
-        for i in active:
-            rates[i] += increment
-        frozen: set[int] = set()
-        for link in saturated:
-            frozen |= users[link].keys()
-        if not frozen:
-            break
-        active -= frozen
-        for counts in users.values():
-            for i in frozen:
-                counts.pop(i, None)
-    return rates
+        room = remaining / weight
+        increment = room.min()
+        remaining -= increment * weight
+        saturated = live[(remaining <= tolerance) | (room == increment)]
+        on_saturated = link_flows[_gather(link_ptr, saturated)]
+        frozen = _distinct(on_saturated[frozen_in[on_saturated] < 0], flow_mark)
+        assert frozen.size, "a round must freeze at least one flow"
+        frozen_in[frozen] = len(increments)
+        increments.append(float(increment))
+        active -= frozen.size
+
+        links = entry_link[_gather(flow_ptr, frozen)]
+        np.subtract.at(users, links, 1)
+        weight[slot[links]] = users[links]
+        gone = _distinct(slot[links[users[links] == 0]], link_mark)
+        remaining[gone] = np.inf
+        weight[gone] = 1.0
+        dead += gone.size
+        if 2 * dead > live.size:
+            keep = np.flatnonzero(remaining != np.inf)
+            live, remaining, weight = live[keep], remaining[keep], weight[keep]
+            slot[live] = np.arange(live.size)
+            dead = 0
+    # Sequential prefix sums add the increments in the same order as
+    # accumulating them flow by flow, round by round.
+    filled = np.array([0.0, *itertools.accumulate(increments)])
+    rates = filled[frozen_in + 1]
+    rates[lengths == 0] = capacity
+    return rates.tolist()
 
 
 def flow_routes(

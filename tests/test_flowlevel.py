@@ -1,6 +1,10 @@
 """Flow-level max-min fairness model tests."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.flowlevel import (
     flow_level_throughput,
@@ -55,13 +59,89 @@ class TestMaxMinRates:
         rates = max_min_rates(flows)
         usage: dict[str, float] = {}
         for route, rate in zip(flows, rates):
-            for link in set(route):
-                # A flow visiting a link twice still consumes once per
-                # traversal; use full multiplicity.
-                pass
+            # Full multiplicity: a flow visiting a link twice consumes
+            # it once per traversal.
             for link in route:
                 usage[link] = usage.get(link, 0.0) + rate
         assert all(u <= 1.0 + 1e-9 for u in usage.values())
+
+    @pytest.mark.parametrize("capacity", [1e5, 1e9])
+    def test_rates_scale_with_capacity(self, capacity):
+        """Saturation is detected relative to ``capacity``: at large
+        capacities the bottleneck's float residue stays far above any
+        absolute tolerance, which once ended filling after round one."""
+        rand = random.Random(2024)
+        for _ in range(300):
+            flows = [
+                [rand.randrange(6) for _ in range(rand.randint(1, 4))]
+                for _ in range(rand.randint(1, 25))
+            ]
+            unit = max_min_rates(flows)
+            scaled = max_min_rates(flows, capacity)
+            assert scaled == pytest.approx([capacity * r for r in unit], rel=1e-9)
+
+
+def assert_max_min_certificate(flows, rates, capacity=1.0):
+    """Check max-min fairness directly, without a reference solver.
+
+    The allocation is feasible, and every flow has a bottleneck: a
+    saturated link on its route where no other flow gets a higher
+    rate.  Usage counts multiplicity.
+    """
+    slack = 1e-9 * capacity
+    usage: dict = {}
+    users: dict = {}
+    for i, route in enumerate(flows):
+        for link in route:
+            usage[link] = usage.get(link, 0.0) + rates[i]
+            users.setdefault(link, set()).add(i)
+    assert all(u <= capacity + slack for u in usage.values())
+    for i, route in enumerate(flows):
+        if not route:
+            assert rates[i] == capacity
+            continue
+        assert any(
+            usage[link] >= capacity - slack
+            and all(rates[i] >= rates[j] - slack for j in users[link])
+            for link in route
+        ), f"flow {i} (rate {rates[i]}) has no bottleneck link"
+
+
+class TestMaxMinCertificate:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flows=st.lists(
+            st.lists(st.integers(0, 7), min_size=0, max_size=5),
+            max_size=30,
+        ),
+        capacity=st.sampled_from([1.0, 4.0, 1e6, 1e9]),
+    )
+    # At this capacity an absolute saturation tolerance left every
+    # flow at the first round's share, 9091 instead of up to 1e5.
+    @example(
+        flows=[
+            [1, 1, 1, 0], [2], [0], [1, 1, 1], [0, 1, 0], [2, 0, 4],
+            [4, 1, 0], [2, 0, 4], [3, 4, 1, 0], [2, 2], [3], [2, 3],
+            [1], [2, 0], [3], [5], [1],
+        ],
+        capacity=1e5,
+    )
+    def test_random_incidences(self, flows, capacity):
+        assert_max_min_certificate(flows, max_min_rates(flows, capacity), capacity)
+
+    @pytest.mark.parametrize("traffic", ["uniform", "random-pairing", "fixed-random"])
+    def test_real_routes(self, rfc_medium, traffic):
+        from repro.simulation.traffic import make_traffic
+
+        rand = random.Random(3)
+        traffic_fn = make_traffic(traffic, rfc_medium.num_terminals, rng=rand)
+        pairs = [
+            (t, traffic_fn.destination(t, rand))
+            for t in range(rfc_medium.num_terminals)
+            for _ in range(4)
+        ]
+        routes = flow_routes(rfc_medium, pairs, rng=rand)
+        assert_max_min_certificate(routes, max_min_rates(routes))
 
 
 class TestFlowRoutes:
