@@ -53,8 +53,6 @@ __all__ = [
     "masks_to_ints",
     "ints_to_masks",
     "popcount",
-    "run_vectorized",
-    "build_padded_candidates",
     "run_relaxed",
     "build_relaxed_candidates",
     "KeyedStream",
@@ -110,7 +108,6 @@ if AVAILABLE:
         random_bipartite_csr,
         random_regular_csr,
     )
-    from .sim import build_padded_candidates, run_vectorized
     from .sweeps import IncrementalSweeper, StageSweeper
 
 

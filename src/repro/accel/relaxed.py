@@ -1,7 +1,7 @@
 """Relaxed-RNG cycle engine: fully batched arbitration.
 
-Fourth engine of the simulator, selected by
-``SimulationParams(rng_mode="relaxed")``.  The three exact engines are
+Third engine of the simulator, selected by
+``SimulationParams(rng_mode="relaxed")``.  The two exact engines are
 bit-for-bit identical to each other because they consume one shared
 sequential ``random.Random`` stream in event order -- which is also
 why they cap near fast-path parity: every arbitration draw depends on
@@ -13,9 +13,8 @@ draw_site)`` through the counter-based generator in
 request/grant phase collapses into a handful of numpy passes:
 
 * **request** -- one gather of every ready head's candidate row
-  against the fused ``(class, channel)`` gate vector (same
-  representation as the vectorized engine), then one keyed draw per
-  head picks among its viable outputs (``randbelow`` by modulo);
+  against the fused ``(class, channel)`` gate vector, then one keyed
+  draw per head picks among its viable outputs (``randbelow`` by modulo);
 * **grant** -- contenders for the same output race by keyed 64-bit
   priority: a single ``lexsort`` over ``(output, priority)`` and a
   segment-boundary scan yield the per-output winners, which is exactly
@@ -88,12 +87,12 @@ from .rng import (
     mix64_array,
     uniform01_array,
 )
-from .sim import EMPTY_READY, build_padded_candidates
 
 __all__ = ["run_relaxed", "build_relaxed_candidates"]
 
-# Channel tags, kept in sync with repro.simulation.engine.
-_LINK, _INJECT, _EJECT = 0, 1, 2
+#: Sentinel "effective ready time" for a unit with no head packet, and
+#: gate value of a (class, channel) pair without downstream credit.
+EMPTY_READY = 1 << 60
 
 #: Salts deriving the grant-priority and VC-pick lanes from the
 #: request draw (one extra finalizer application each instead of a
@@ -105,35 +104,41 @@ _U64 = np.uint64
 
 
 def build_relaxed_candidates(sim):
-    """Extended candidate matrix covering delivery heads.
+    """Padded candidate matrix covering delivery heads.
 
     Returns ``(cand_ext, width)`` where ``cand_ext`` is ``(n_keys + 1 +
     num_terminals, width) int64``: rows ``0..n_keys-1`` are the CSR
-    candidate rows (padded with the permanently-blocked dummy channel
-    ``n_ch``), row ``n_keys`` is fully blocked (empty units and
-    unroutable heads key here so the batched pass can never grant
-    them), and row ``n_keys + 1 + dst`` holds destination ``dst``'s
-    single eject channel.  Unlike the vectorized engine -- whose
-    batched phase only *filters* and must keep delivery heads
-    always-viable for the scalar scan -- this engine grants straight
-    from the batch, so eject channels get real viability gates and a
-    real candidate row.  Cached on the simulator.
+    route table's candidate rows, padded with the dummy channel id
+    ``n_ch`` (whose gate column is pinned to ``EMPTY_READY``, so
+    padding can never look viable); row ``n_keys`` is fully blocked
+    (empty units and unroutable heads key here so the batched pass can
+    never grant them), and row ``n_keys + 1 + dst`` holds destination
+    ``dst``'s single eject channel.  Cached on the simulator, next to
+    the CSR table itself.
     """
     cached = getattr(sim, "_relaxed_pad", None)
     if cached is not None:
         return cached
-    cand_pad, _full_bits, maxdeg = build_padded_candidates(sim)
-    n_keys = cand_pad.shape[0]
-    n_ch = len(sim.ch_kind)
-    num_terminals = sim.topo.num_terminals
-    width = max(maxdeg, 1)
+    from ..simulation import fastpath
+
+    table = fastpath.build_candidate_table(sim)
+    offsets = table.offsets.astype(np.int64)
+    lens = np.diff(offsets)
+    n_keys = len(table.flags)
+    n_values = len(table.values)
+    width = max(int(lens.max()) if n_keys and n_values else 0, 1)
     cand_ext = np.full(
-        (n_keys + 1 + num_terminals, width), n_ch, dtype=np.int64
+        (n_keys + 1 + sim.topo.num_terminals, width),
+        len(sim.ch_kind),
+        dtype=np.int64,
     )
-    if maxdeg:
-        cand_ext[:n_keys, :maxdeg] = cand_pad
-    for dst in range(num_terminals):
-        cand_ext[n_keys + 1 + dst, 0] = sim.eject_channel[dst]
+    if n_values:
+        rows = np.repeat(np.arange(n_keys, dtype=np.int64), lens)
+        pos = np.arange(n_values, dtype=np.int64) - np.repeat(
+            offsets[:-1], lens
+        )
+        cand_ext[rows, pos] = table.values
+    cand_ext[n_keys + 1 :, 0] = sim.eject_channel
     sim._relaxed_pad = (cand_ext, width)
     return sim._relaxed_pad
 
@@ -183,8 +188,9 @@ def run_relaxed(sim) -> SimResult:
     unroutable_local = 0
     max_injectq = sim.max_inject_queue
 
-    # ---- routing tables (shared with the fast/vectorized engines) ------
-    from ..simulation.fastpath import build_candidate_table
+    # ---- routing tables (shared with the fast engine) -------------------
+    from ..simulation.engine import _EJECT, _INJECT, _LINK
+    from ..simulation.fastpath import build_candidate_table, destination_layout
 
     table = build_candidate_table(sim)
     cand_lists = table.to_lists()
@@ -213,21 +219,11 @@ def run_relaxed(sim) -> SimResult:
     busy_np = np.array(sim.ch_busy, dtype=np.int64)
     busycyc_np = np.array(sim.ch_busy_cycles, dtype=np.int64)
 
-    # ---- destination decomposition (mirrors the fast path) -------------
-    if direct:
-        dest_switch = [topo.terminal_switch(t) for t in range(num_terminals)]
-        hosts = 0
-        leaf_switch: list[int] = []
-        dest_leaf: list[int] = []
-        vcs_cap = vcs - 1
-        n_classes = vcs
-    else:
-        hosts = topo.hosts_per_leaf
-        leaf_switch = [topo.switch_id(0, i) for i in range(topo.num_leaves)]
-        dest_leaf = [t // hosts for t in range(num_terminals)]
-        dest_switch = []
-        vcs_cap = 0
-        n_classes = 3  # rows: 0 = all VCs, 1 = Valiant lower, 2 = upper
+    # ---- destination decomposition (shared with the fast path) --------
+    dest_switch, hosts, leaf_switch, dest_leaf, vcs_cap = destination_layout(sim)
+    # Class rows: one per VC on direct networks; on folded Clos 0 = all
+    # VCs, 1 = Valiant lower half, 2 = upper half.
+    n_classes = vcs if direct else 3
     half = vcs // 2
     if direct:
         class_range = [(w, w + 1) for w in range(vcs)]
@@ -235,9 +231,9 @@ def run_relaxed(sim) -> SimResult:
         class_range = [(0, vcs), (0, half), (half, vcs)]
 
     # ---- struct-of-arrays unit state -----------------------------------
-    # One unit per (channel, vc) input queue, same construction order as
-    # the vectorized engine (grant-apply order follows output-channel
-    # ids, so unit order only has to be deterministic, which it is).
+    # One unit per (channel, vc) input queue in ``sim.in_units`` order
+    # (grant-apply order follows output-channel ids, so unit order only
+    # has to be deterministic, which it is).
     unit_cid: list[int] = []
     unit_vc: list[int] = []
     unit_queue: list = []

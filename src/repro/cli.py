@@ -80,13 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--warmup", type=int, default=500)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--engine",
-                     choices=["fast", "reference", "vectorized"],
+                     choices=["fast", "reference"],
                      default="fast",
-                     help="cycle-level engine: 'fast' (precomputed-route "
-                          "fast path, default), 'vectorized' "
-                          "(struct-of-arrays state with batched "
-                          "candidate gathering) or 'reference' (the "
-                          "oracle); results are bit-for-bit identical")
+                     help="exact cycle-level engine: 'fast' "
+                          "(precomputed-route fast path, default) or "
+                          "'reference' (the oracle); results are "
+                          "bit-for-bit identical")
     sim.add_argument("--rng-mode",
                      choices=["exact", "relaxed"],
                      default="exact",
@@ -96,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "RNG on the fully batched engine -- much "
                           "faster, deterministic per seed, but NOT "
                           "bit-for-bit comparable to exact-mode results "
-                          "(statistical equivalence only; ignores "
-                          "--engine)")
+                          "(statistical equivalence only; refuses "
+                          "--engine reference)")
     sim.add_argument("--trace", metavar="PATH", default=None,
                      help="write a JSONL event trace (inject/hop/eject/"
                           "drop) to PATH")
@@ -131,15 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--rpc-size", type=int, default=4,
                     help="packets per rpc/incast flow")
     wl.add_argument("--engine",
-                    choices=["fast", "reference", "vectorized"],
+                    choices=["fast", "reference"],
                     default="fast",
                     help="exact engine; the flow_complete stream is "
-                         "bit-for-bit identical across all three")
+                         "bit-for-bit identical across both")
     wl.add_argument("--rng-mode", choices=["exact", "relaxed"],
                     default="exact",
                     help="'relaxed': counter-RNG batched engine, "
-                         "statistically equivalent only (ignores "
-                         "--engine)")
+                         "statistically equivalent only (refuses "
+                         "--engine reference)")
     wl.add_argument("--trace", metavar="PATH", default=None,
                     help="write flow_complete JSONL records to PATH")
 
@@ -351,8 +350,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         topo, _ = rfc_with_updown(args.radix, args.leaves, args.levels,
                                   rng=args.seed)
-    relaxed = getattr(args, "rng_mode", "exact") == "relaxed"
-    if relaxed:
+    params = SimulationParams(
+        measure_cycles=args.cycles,
+        warmup_cycles=args.warmup,
+        seed=args.seed,
+        engine=args.engine,
+        rng_mode=getattr(args, "rng_mode", "exact"),
+    )
+    if params.rng_mode == "relaxed":
         # Loud, up-front, and on stderr: numbers produced in this mode
         # are deterministic for the seed but not comparable bit-for-bit
         # with exact-mode runs (or with the paper pins).
@@ -363,15 +368,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "Publishable numbers should use --rng-mode exact.",
             file=sys.stderr,
         )
-    params = SimulationParams(
-        measure_cycles=args.cycles,
-        warmup_cycles=args.warmup,
-        seed=args.seed,
-        # Relaxed mode has exactly one engine; the selection knob only
-        # applies to the exact engines.
-        engine="" if relaxed else args.engine,
-        rng_mode="relaxed" if relaxed else "exact",
-    )
     traffic = make_traffic(args.traffic, topo.num_terminals,
                            rng=args.seed + 101)
 
@@ -422,21 +418,20 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     else:
         topo, _ = rfc_with_updown(args.radix, args.leaves, args.levels,
                                   rng=args.seed)
-    relaxed = args.rng_mode == "relaxed"
-    if relaxed:
+    params = SimulationParams(
+        measure_cycles=args.cycles,
+        warmup_cycles=args.warmup,
+        seed=args.seed,
+        engine=args.engine,
+        rng_mode=args.rng_mode,
+    )
+    if params.rng_mode == "relaxed":
         print(
             "WARNING: --rng-mode relaxed is NOT bit-for-bit "
             "reproducible against exact-mode runs; FCT distributions "
             "are only statistically equivalent.",
             file=sys.stderr,
         )
-    params = SimulationParams(
-        measure_cycles=args.cycles,
-        warmup_cycles=args.warmup,
-        seed=args.seed,
-        engine="" if relaxed else args.engine,
-        rng_mode="relaxed" if relaxed else "exact",
-    )
     workload = make_workload(
         args.pattern,
         topo.num_terminals,

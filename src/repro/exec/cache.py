@@ -91,11 +91,10 @@ def cache_key(
     params_payload = dataclasses.asdict(params)
     # Engine selection produces identical results by contract, so it
     # must not (and does not) influence the digest: caches written
-    # before the fast path (or the vectorized engine) existed keep
-    # hitting.  The excluded set is declared next to the dataclass
-    # (and cross-checked by lint passes RPR101/RPR105), not hand-rolled
-    # here; ``rng_mode`` is NOT in that set, so relaxed-mode results
-    # key separately from exact ones.
+    # before the fast path existed keep hitting.  The excluded set is
+    # declared next to the dataclass (and cross-checked by lint passes
+    # RPR101/RPR105), not hand-rolled here; ``rng_mode`` is NOT in
+    # that set, so relaxed-mode results key separately from exact ones.
     for excluded in sorted(CACHE_KEY_EXCLUDED_FIELDS):
         params_payload.pop(excluded, None)
     payload = {

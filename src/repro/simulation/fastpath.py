@@ -47,16 +47,16 @@ import math
 import numpy as np
 
 from ..routing.table import CsrTable
+from .engine import _EJECT, _EV_ARB, _EV_CREDIT, _EV_GEN, _INJECT, _LINK
 from .packet import Packet
 from .stats import SimResult, SimStats
 
-__all__ = ["EventWheel", "build_candidate_table", "run_fast"]
-
-# Mirrors of the engine's channel/event tags (engine.py is imported
-# lazily by Simulator.run, so importing them here would be circular in
-# spirit even though not in fact; keep the literals in sync).
-_LINK, _INJECT, _EJECT = 0, 1, 2
-_EV_ARB, _EV_CREDIT, _EV_GEN = 0, 1, 2
+__all__ = [
+    "EventWheel",
+    "build_candidate_table",
+    "destination_layout",
+    "run_fast",
+]
 
 
 class EventWheel:
@@ -182,6 +182,28 @@ def build_candidate_table(sim) -> CsrTable:
     return table
 
 
+def destination_layout(sim) -> tuple[list[int], int, list[int], list[int], int]:
+    """Per-terminal destination decomposition, computed once per run.
+
+    Returns ``(dest_switch, hosts, leaf_switch, dest_leaf, vcs_cap)``.
+    Direct networks route towards ``dest_switch[terminal]`` and cap the
+    hop-indexed VC class at ``vcs_cap``; folded Clos networks route
+    towards leaf ``dest_leaf[terminal]`` (``hosts`` terminals per leaf),
+    whose switch id is ``leaf_switch[leaf]``.  The fields the topology
+    kind does not use are empty (or 0).  Shared by the fast and relaxed
+    engines.
+    """
+    topo = sim.topo
+    num_terminals = topo.num_terminals
+    if sim._direct:
+        dest_switch = [topo.terminal_switch(t) for t in range(num_terminals)]
+        return dest_switch, 0, [], [], sim.params.virtual_channels - 1
+    hosts = topo.hosts_per_leaf
+    leaf_switch = [topo.switch_id(0, i) for i in range(topo.num_leaves)]
+    dest_leaf = [t // hosts for t in range(num_terminals)]
+    return [], hosts, leaf_switch, dest_leaf, 0
+
+
 def run_fast(sim) -> SimResult:
     """Execute ``sim`` through the precomputed-route engine.
 
@@ -244,20 +266,7 @@ def run_fast(sim) -> SimResult:
         for row in sim.in_units
     ]
 
-    if direct:
-        dest_switch = [
-            topo.terminal_switch(t) for t in range(num_terminals)
-        ]
-        hosts = 0
-        leaf_switch: list[int] = []
-        dest_leaf: list[int] = []
-        vcs_cap = vcs - 1
-    else:
-        hosts = topo.hosts_per_leaf
-        leaf_switch = [topo.switch_id(0, i) for i in range(topo.num_leaves)]
-        dest_leaf = [t // hosts for t in range(num_terminals)]
-        dest_switch = []
-        vcs_cap = 0
+    dest_switch, hosts, leaf_switch, dest_leaf, vcs_cap = destination_layout(sim)
     half = vcs // 2
     # VC-class ranges, built once (the reference builds a range object
     # per candidate per scan): full for plain folded Clos, halves for

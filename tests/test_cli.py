@@ -74,6 +74,26 @@ class TestCommands:
         ]) == 0
         assert "accepted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "cft"],
+        ["workload", "--topology", "cft"],
+    ])
+    def test_relaxed_with_reference_engine_is_refused(self, capsys,
+                                                      command):
+        """``--engine`` reaches the params unchanged, so the relaxed
+        mode refuses the exact-only reference engine instead of
+        silently running something else."""
+        with pytest.raises(ValueError, match="engine='reference' is exact-only"):
+            main(command + ["--radix", "4", "--levels", "2",
+                            "--rng-mode", "relaxed", "--engine", "reference"])
+        assert "WARNING" not in capsys.readouterr().err
+
+    def test_engine_choices(self):
+        parser = build_parser()
+        for command in (["simulate", "cft"], ["workload"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(command + ["--engine", "vectorized"])
+
     def test_experiment(self, capsys):
         assert main(["experiment", "sec5"]) == 0
         assert "Section 5" in capsys.readouterr().out

@@ -141,6 +141,31 @@ class TestCacheKey:
             digest, "uniform", 0.5, PARAMS, 3, removed_links=(b, a)
         )
 
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            (
+                SimulationParams(),
+                "f9800debb1de43ffedd5424032dc56abe8eebb17f5b05af79e931a24d0c5b2b3",
+            ),
+            (
+                SimulationParams(engine="reference"),
+                "f9800debb1de43ffedd5424032dc56abe8eebb17f5b05af79e931a24d0c5b2b3",
+            ),
+            (
+                SimulationParams(rng_mode="relaxed"),
+                "c11ad338777cfd3116c8f23a01e35d285ed0f3b7bca16464045c7a3fa12ff4a6",
+            ),
+        ],
+        ids=["default", "reference", "relaxed"],
+    )
+    def test_key_is_pinned(self, params, digest):
+        """Literal digests recorded before the ``fast_path``/``engine``
+        knobs were folded into one: caches written by earlier releases
+        must keep hitting, and the engine choice must stay out of the
+        key."""
+        assert cache_key("ab" * 32, "uniform", 0.5, params, 1) == digest
+
     def test_digest_distinguishes_wirings(self, rfc_small, rfc_medium):
         assert topology_digest(rfc_small) != topology_digest(rfc_medium)
 
