@@ -726,14 +726,19 @@ class ProjectGraph:
         """(canonical name, call site) pairs for external calls."""
         return self._external.get(qualified, ())
 
-    def reachable(self, roots: Iterable[str]) -> set[str]:
+    def reachable(
+        self, roots: Iterable[str], barrier: Iterable[str] = ()
+    ) -> set[str]:
         """Functions reachable from ``roots`` over internal edges
-        (roots included, unknown roots ignored)."""
+        (roots included, unknown roots ignored).  Functions defined in
+        a module named in ``barrier`` are neither entered nor
+        returned."""
+        fenced = frozenset(barrier)
         seen: set[str] = set()
         stack = [root for root in roots if root in self.functions]
         while stack:
             current = stack.pop()
-            if current in seen:
+            if current in seen or self.functions[current][0].module in fenced:
                 continue
             seen.add(current)
             stack.extend(self.callees(current) - seen)
@@ -766,13 +771,17 @@ class ProjectGraph:
             queue = nxt
         return None
 
-    def read_closure(self, summary: ModuleSummary) -> frozenset[str]:
+    def read_closure(
+        self, summary: ModuleSummary, barrier: Iterable[str] = ()
+    ) -> frozenset[str]:
         """Attribute names read by a module's functions *and* every
         project function reachable from them -- the "what does this
-        engine consume, including through helpers" question."""
+        engine consume, including through helpers" question.  Calls
+        into ``barrier`` modules are not followed (see
+        :meth:`reachable`)."""
         roots = self.module_functions(summary)
         reads: set[str] = set(summary.module_attr_reads)
-        for qualified in self.reachable(roots):
+        for qualified in self.reachable(roots, barrier):
             _, fn = self.functions[qualified]
             reads.update(fn.attr_reads)
         return frozenset(reads)

@@ -146,6 +146,11 @@ class TestCallGraph:
         chain = project.call_chain("pkg.a.outer", "pkg.b.helper")
         assert chain == ["pkg.a.outer", "pkg.a.middle", "pkg.b.helper"]
 
+    def test_reachable_stops_at_barrier(self, tmp_path):
+        project = _project(tmp_path, self.FILES)
+        closure = project.reachable(["pkg.a.outer"], barrier=["pkg.b"])
+        assert closure == {"pkg.a.outer", "pkg.a.middle"}
+
     def test_unresolvable_calls_add_no_edges(self, tmp_path):
         project = _project(tmp_path, {
             "solo.py": """\
@@ -196,6 +201,7 @@ class TestCallGraph:
         })
         engine = project.find_module("pkg.engine")
         assert "depth" in project.read_closure(engine)
+        assert "depth" not in project.read_closure(engine, ["pkg.util"])
 
 
 class TestTaint:
