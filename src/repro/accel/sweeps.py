@@ -13,7 +13,7 @@ and of the ``U_j`` table construction in
 
 Each stage's edges are laid out flat once (:class:`StageSweeper`), with
 both groupings precomputed, so a sweep is one gather plus one
-``reduceat`` per stage.  Two layout decisions carry the performance:
+``reduceat`` per stage.  Three layout decisions carry the performance:
 
 * mask arrays are held **transposed** -- ``(W, N)`` words-by-switches
   -- because ``np.bitwise_or.reduceat`` along the last (contiguous)
@@ -23,19 +23,28 @@ both groupings precomputed, so a sweep is one gather plus one
   column**, and pruned edges are redirected there by index instead of
   zeroing their gathered rows -- zero is the OR identity, so a masked
   edge contributes nothing, and the mask costs one ``np.where`` over
-  edge indices rather than a scatter write into the gather buffer.
+  edge indices rather than a scatter write into the gather buffer;
+* every gather runs over a **block of leaf words** at a time.  Bit
+  ``i`` of any mask depends only on bit ``i`` of the leaf singletons,
+  so words are independent: a ``b``-word block gathers ``b * edges``
+  words into one preallocated buffer, sized so a block fits
+  :data:`_BLOCK_BYTES`.  The coverage queries go further and run the
+  whole sweep (ascend every stage, then cover back down) per block,
+  reduce the block to a covered-pair count and drop it -- their peak
+  memory is set by the block, not by ``N1 ** 2``.
 
 Fault analyses therefore pass per-stage boolean *keep* masks instead
 of rebuilding pruned stage lists, which is what makes
 :func:`repro.faults.updown_survival.order_threshold`'s binary search
-incremental (one mask comparison per probe, no Python list rebuilds).
+incremental (one mask comparison per probe, no Python list rebuilds,
+and a failing probe stops at the first block with an uncovered pair).
 Public methods return masks in the natural ``(N, W)`` layout expected
 by :mod:`repro.accel.bitset`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,6 +54,16 @@ from .bitset import full_row, popcount, words_for
 __all__ = ["StageSweeper", "IncrementalSweeper"]
 
 StageAdjacency = Sequence[Sequence[Sequence[int]]]
+
+#: Gather-buffer budget of one word block: the block is this many bytes
+#: over the largest stage's ``8 * edges`` (at least one word), so one
+#: block's gather stays about the size of a core's L2 cache.
+_BLOCK_BYTES = 2 << 20
+
+
+def _block_words(edges: int, words: int) -> int:
+    """Words per block for a sweep gathering ``edges`` per word."""
+    return max(1, min(words, _BLOCK_BYTES // (8 * max(edges, 1))))
 
 
 def _singletons_t(n: int) -> NDArray[np.uint64]:
@@ -60,12 +79,65 @@ def _natural(masks_t: NDArray[np.uint64]) -> NDArray[np.uint64]:
     return np.ascontiguousarray(masks_t[:, :-1].T)
 
 
+class _Reduction(NamedTuple):
+    """One grouped OR: ``out[:, rows[k]] = OR src[:, idx[starts[k]:starts[k + 1]]]``.
+
+    ``rows`` holds the output rows with at least one edge (the others
+    stay zero).
+    """
+
+    idx: NDArray[np.intp]
+    starts: NDArray[np.intp]
+    rows: NDArray[np.intp]
+
+    def masked(self, keep: NDArray[np.bool_], null: int) -> "_Reduction":
+        """Pruned edges (``keep`` False) redirected to the null column."""
+        return self._replace(idx=np.where(keep, self.idx, null))
+
+
+def _gather_or(
+    src: NDArray[np.uint64],
+    red: _Reduction,
+    out: NDArray[np.uint64],
+    buf: NDArray[np.uint64],
+) -> None:
+    """Apply ``red`` to one word block of ``(b, n + 1)`` masks.
+
+    ``buf`` is the flat gather buffer, at least ``b * len(red.idx)``
+    words; ``mode="clip"`` lets ``np.take`` write into it unbuffered
+    (every index is in range by construction).
+    """
+    if red.rows.size == 0:
+        return
+    gathered = buf[: src.shape[0] * red.idx.size].reshape(
+        src.shape[0], red.idx.size
+    )
+    np.take(src, red.idx, axis=1, out=gathered, mode="clip")
+    out[:, red.rows] = np.bitwise_or.reduceat(gathered, red.starts, axis=1)
+
+
+def _tiled(
+    red: _Reduction, src_t: NDArray[np.uint64], out_t: NDArray[np.uint64]
+) -> NDArray[np.uint64]:
+    """Apply ``red`` to whole transposed arrays, one word block at a time."""
+    words = src_t.shape[0]
+    step = _block_words(red.idx.size, words)
+    buf = np.empty(step * red.idx.size, dtype=np.uint64)
+    for w0 in range(0, words, step):
+        _gather_or(src_t[w0 : w0 + step], red, out_t[w0 : w0 + step], buf)
+    return out_t
+
+
+def _zeros_t(words: int, n: int) -> NDArray[np.uint64]:
+    return np.zeros((words, n + 1), dtype=np.uint64)
+
+
 class _StageEdges:
     """One inter-level stage flattened for both reduction directions."""
 
     __slots__ = (
-        "n_lo", "n_hi", "src", "dst", "down_src", "down_offsets",
-        "up_starts", "up_rows", "down_perm", "down_starts", "down_rows",
+        "n_lo", "n_hi", "src", "dst", "down_perm", "down_src",
+        "down_offsets", "or_up", "or_down",
     )
 
     def __init__(self, n_lo: int, n_hi: int, rows: Sequence[Sequence[int]]):
@@ -115,64 +187,33 @@ class _StageEdges:
         self.n_hi = n_hi
         self.src = np.repeat(np.arange(n_lo, dtype=np.intp), counts)
         self.dst = dst
-        # Group by lower endpoint: edges are already in row order.
-        self.up_rows = np.nonzero(counts)[0]
-        self.up_starts = offsets[self.up_rows]
-        # Group by upper endpoint: stable sort keeps per-switch edge
-        # order deterministic.
+        # OR down (coverage sweep): group by lower endpoint, which is
+        # the flat edge order already.
+        up_rows = np.nonzero(counts)[0]
+        self.or_down = _Reduction(dst, offsets[up_rows], up_rows)
+        # OR up (descendant sweep): group by upper endpoint; the stable
+        # sort keeps per-switch edge order deterministic.
         self.down_perm = np.argsort(self.dst, kind="stable")
         self.down_src = self.src[self.down_perm]
         dst_counts = np.bincount(self.dst, minlength=n_hi).astype(np.intp)
         self.down_offsets = np.zeros(n_hi + 1, dtype=np.intp)
         np.cumsum(dst_counts, out=self.down_offsets[1:])
-        self.down_rows = np.nonzero(dst_counts)[0]
-        self.down_starts = self.down_offsets[self.down_rows]
-
-    def _reduce(
-        self,
-        masks_t: NDArray[np.uint64],
-        idx: NDArray[np.intp],
-        null: int,
-        keep: NDArray[np.bool_] | None,
-        starts: NDArray[np.intp],
-        rows: NDArray[np.intp],
-        n_out: int,
-    ) -> NDArray[np.uint64]:
-        out = np.zeros((masks_t.shape[0], n_out + 1), dtype=np.uint64)
-        if rows.size == 0:
-            return out
-        if keep is not None:
-            idx = np.where(keep, idx, null)
-        gathered = np.take(masks_t, idx, axis=1)
-        out[:, rows] = np.bitwise_or.reduceat(gathered, starts, axis=1)
-        return out
-
-    def or_up(
-        self,
-        lower_t: NDArray[np.uint64],
-        keep: NDArray[np.bool_] | None,
-    ) -> NDArray[np.uint64]:
-        """``out[t] = OR lower[s]`` over surviving edges ``s -> t``."""
-        return self._reduce(
-            lower_t,
-            self.down_src,
-            self.n_lo,
-            keep[self.down_perm] if keep is not None else None,
-            self.down_starts,
-            self.down_rows,
-            self.n_hi,
+        down_rows = np.nonzero(dst_counts)[0]
+        self.or_up = _Reduction(
+            self.down_src, self.down_offsets[down_rows], down_rows
         )
 
-    def or_down(
-        self,
-        upper_t: NDArray[np.uint64],
-        keep: NDArray[np.bool_] | None,
-    ) -> NDArray[np.uint64]:
-        """``out[s] = OR upper[t]`` over surviving edges ``s -> t``."""
-        return self._reduce(
-            upper_t, self.dst, self.n_hi, keep,
-            self.up_starts, self.up_rows, self.n_lo,
-        )
+    def up_kept(self, keep: NDArray[np.bool_] | None) -> _Reduction:
+        """``or_up`` over the edges ``keep`` leaves standing."""
+        if keep is None:
+            return self.or_up
+        return self.or_up.masked(keep[self.down_perm], self.n_lo)
+
+    def down_kept(self, keep: NDArray[np.bool_] | None) -> _Reduction:
+        """``or_down`` over the edges ``keep`` leaves standing."""
+        if keep is None:
+            return self.or_down
+        return self.or_down.masked(keep, self.n_hi)
 
     def or_up_rows(
         self,
@@ -200,12 +241,37 @@ class _StageEdges:
         ends = np.cumsum(lens)
         pos = np.arange(total, dtype=np.intp)
         pos += np.repeat(starts - (ends - lens), lens)
-        gathered = np.take(lower_t, self.down_src[pos], axis=1)
         nonempty = lens > 0
-        reduced = np.bitwise_or.reduceat(
-            gathered, (ends - lens)[nonempty], axis=1
+        red = _Reduction(
+            self.down_src[pos], (ends - lens)[nonempty], rows[nonempty]
         )
-        out_t[:, rows[nonempty]] = reduced
+        _tiled(red, lower_t, out_t)
+
+
+def _count_covered(blocks: Iterator[tuple[int, NDArray[np.uint64]]]) -> int:
+    """Set bits over every coverage block: ``N1 ** 2`` = all pairs covered."""
+    return sum(int(popcount(block).sum()) for _, block in blocks)
+
+
+def _all_covered(
+    n1: int, blocks: Iterator[tuple[int, NDArray[np.uint64]]]
+) -> bool:
+    """Whether every block is full, stopping at the first one that is not."""
+    full = full_row(n1)
+    return all(
+        bool(np.all(block == full[w0 : w0 + block.shape[0], None]))
+        for w0, block in blocks
+    )
+
+
+def _fill(
+    n1: int, blocks: Iterator[tuple[int, NDArray[np.uint64]]]
+) -> NDArray[np.uint64]:
+    """Assemble coverage blocks into the natural ``(N1, W)`` layout."""
+    out = np.empty((n1, words_for(n1)), dtype=np.uint64)
+    for w0, block in blocks:
+        out[:, w0 : w0 + block.shape[0]] = block.T
+    return out
 
 
 class StageSweeper:
@@ -215,7 +281,9 @@ class StageSweeper:
     afterwards is pure numpy.  ``keep_masks`` arguments, when given,
     hold one boolean array per stage aligned with that stage's flat
     edge order (row-major over ``up_stages[stage]``) -- ``False``
-    removes the edge from the sweep.
+    removes the edge from the sweep.  The sweeper is immutable, so the
+    unmasked covered-pair count is computed once and shared by
+    :meth:`has_updown` and :meth:`reachable_fraction`.
     """
 
     def __init__(
@@ -223,12 +291,14 @@ class StageSweeper:
     ) -> None:
         if len(up_stages) != len(level_sizes) - 1:
             raise ValueError("up_stages must have one entry per stage")
-        self.level_sizes = [int(n) for n in level_sizes]
-        self.n1 = self.level_sizes[0]
-        self.stages = [
-            _StageEdges(self.level_sizes[i], self.level_sizes[i + 1], rows)
-            for i, rows in enumerate(up_stages)
-        ]
+        sizes = [int(n) for n in level_sizes]
+        self._init(
+            sizes,
+            [
+                _StageEdges(sizes[i], sizes[i + 1], rows)
+                for i, rows in enumerate(up_stages)
+            ],
+        )
 
     @classmethod
     def from_arrays(
@@ -250,15 +320,21 @@ class StageSweeper:
         if len(stage_arrays) != len(level_sizes) - 1:
             raise ValueError("stage_arrays must have one entry per stage")
         self = cls.__new__(cls)
-        self.level_sizes = [int(n) for n in level_sizes]
-        self.n1 = self.level_sizes[0]
-        self.stages = [
-            _StageEdges.from_csr(
-                self.level_sizes[i], self.level_sizes[i + 1], off, idx
-            )
-            for i, (off, idx) in enumerate(stage_arrays)
-        ]
+        sizes = [int(n) for n in level_sizes]
+        self._init(
+            sizes,
+            [
+                _StageEdges.from_csr(sizes[i], sizes[i + 1], off, idx)
+                for i, (off, idx) in enumerate(stage_arrays)
+            ],
+        )
         return self
+
+    def _init(self, sizes: list[int], stages: list[_StageEdges]) -> None:
+        self.level_sizes = sizes
+        self.n1 = sizes[0]
+        self.stages = stages
+        self._covered: int | None = None
 
     # ------------------------------------------------------------------
     # Core sweeps (internal: transposed layout with null column)
@@ -267,19 +343,68 @@ class StageSweeper:
         self, keep_masks: Sequence[NDArray[np.bool_]] | None
     ) -> list[NDArray[np.uint64]]:
         masks = [_singletons_t(self.n1)]
+        words = masks[0].shape[0]
         for i, stage in enumerate(self.stages):
             keep = keep_masks[i] if keep_masks is not None else None
-            masks.append(stage.or_up(masks[i], keep))
+            masks.append(
+                _tiled(stage.up_kept(keep), masks[i], _zeros_t(words, stage.n_hi))
+            )
         return masks
 
-    def _cover_t(
-        self, keep_masks: Sequence[NDArray[np.bool_]] | None
-    ) -> NDArray[np.uint64]:
-        cover = self._descend_t(keep_masks)[-1]
-        for i in range(len(self.stages) - 1, -1, -1):
-            keep = keep_masks[i] if keep_masks is not None else None
-            cover = self.stages[i].or_down(cover, keep)
-        return cover | _singletons_t(self.n1)
+    def _cover_blocks(
+        self,
+        keep_masks: Sequence[NDArray[np.bool_]] | None,
+        top_t: NDArray[np.uint64] | None = None,
+    ) -> Iterator[tuple[int, NDArray[np.uint64]]]:
+        """Yield ``(w0, block)``: coverage words ``w0 .. w0 + b - 1``.
+
+        ``block`` is ``(b, N1)`` -- row ``k`` holds word ``w0 + k`` of
+        every leaf's coverage mask (own bit included) -- and is only
+        valid until the next block is drawn: every buffer is reused.
+        Each block runs the whole sweep on its own.  ``top_t``, the
+        transposed top-level descendant masks, skips the ascent
+        (:class:`IncrementalSweeper` keeps them current).
+        """
+        keeps = keep_masks if keep_masks is not None else [None] * len(self.stages)
+        ups = [s.up_kept(k) for s, k in zip(self.stages, keeps)]
+        downs = [s.down_kept(k) for s, k in zip(self.stages, keeps)]
+        edges = max((s.src.size for s in self.stages), default=0)
+        words = words_for(self.n1)
+        step = _block_words(edges, words)
+        buf = np.empty(step * edges, dtype=np.uint64)
+        # Ascent buffers above the leaves only when the ascent runs.
+        ascent_sizes = self.level_sizes if top_t is None else self.level_sizes[:1]
+        ascent = [_zeros_t(step, n) for n in ascent_sizes]
+        descent = [_zeros_t(step, n) for n in self.level_sizes[:-1]]
+        result = _zeros_t(step, self.n1)
+        bits = np.uint64(1) << (
+            np.arange(64 * step, dtype=np.intp) & 63
+        ).astype(np.uint64)
+        for w0 in range(0, words, step):
+            b = min(step, words - w0)
+            leaves = np.arange(
+                64 * w0, min(64 * (w0 + b), self.n1), dtype=np.intp
+            )
+            word = (leaves >> 6) - w0
+            singles = ascent[0][:b]
+            singles[word, leaves] = bits[: leaves.size]
+            if top_t is None:
+                for i, or_up in enumerate(ups):
+                    _gather_or(ascent[i][:b], or_up, ascent[i + 1][:b], buf)
+                cover = ascent[-1][:b]
+            else:
+                cover = top_t[w0 : w0 + b]
+            for i, or_down in reversed(list(enumerate(downs))):
+                _gather_or(cover, or_down, descent[i][:b], buf)
+                cover = descent[i][:b]
+            np.bitwise_or(cover, singles, out=result[:b])
+            yield w0, result[:b, :-1]
+            singles[word, leaves] = 0
+
+    def _unmasked_covered(self) -> int:
+        if self._covered is None:
+            self._covered = _count_covered(self._cover_blocks(None))
+        return self._covered
 
     # ------------------------------------------------------------------
     # Public sweeps (natural ``(N, W)`` layout)
@@ -294,7 +419,7 @@ class StageSweeper:
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
     ) -> NDArray[np.uint64]:
         """Per-leaf packed up*/down* coverage (own bit included)."""
-        return _natural(self._cover_t(keep_masks))
+        return _fill(self.n1, self._cover_blocks(keep_masks))
 
     def has_updown(
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
@@ -302,8 +427,9 @@ class StageSweeper:
         """Whether every leaf pair keeps a common ancestor."""
         if self.n1 == 0:
             return True
-        cover = self._cover_t(keep_masks)
-        return bool(np.all(cover[:, :-1] == full_row(self.n1)[:, None]))
+        if keep_masks is None:
+            return self._unmasked_covered() == self.n1 * self.n1
+        return _all_covered(self.n1, self._cover_blocks(keep_masks))
 
     def reachable_fraction(
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
@@ -311,15 +437,19 @@ class StageSweeper:
         """Fraction of ordered leaf pairs joined by an up*/down* path."""
         if self.n1 < 2:
             return 1.0
-        cover = self._cover_t(keep_masks)
-        covered = int(popcount(cover).sum()) - self.n1
-        return covered / (self.n1 * (self.n1 - 1))
+        if keep_masks is None:
+            covered = self._unmasked_covered()
+        else:
+            covered = _count_covered(self._cover_blocks(keep_masks))
+        return (covered - self.n1) / (self.n1 * (self.n1 - 1))
 
     def root_ancestor_masks(self) -> NDArray[np.uint64]:
         """Per-leaf packed set of reachable root switches."""
         masks = _singletons_t(self.level_sizes[-1])
         for stage in reversed(self.stages):
-            masks = stage.or_down(masks, None)
+            masks = _tiled(
+                stage.or_down, masks, _zeros_t(masks.shape[0], stage.n_lo)
+            )
         return _natural(masks)
 
     # ------------------------------------------------------------------
@@ -336,13 +466,19 @@ class StageSweeper:
         """
         levels = len(self.level_sizes)
         descend = self._descend_t(None)
+        words = descend[0].shape[0]
         tables_t: list[list[NDArray[np.uint64]]] = [
             [descend[level]] for level in range(levels)
         ]
         for j in range(1, levels):
             for level in range(levels - j):
+                stage = self.stages[level]
                 tables_t[level].append(
-                    self.stages[level].or_down(tables_t[level + 1][j - 1], None)
+                    _tiled(
+                        stage.or_down,
+                        tables_t[level + 1][j - 1],
+                        _zeros_t(words, stage.n_lo),
+                    )
                 )
         return [[_natural(t) for t in per_level] for per_level in tables_t]
 
@@ -410,7 +546,7 @@ class IncrementalSweeper:
     ) -> None:
         self._sweeper = StageSweeper.from_arrays(level_sizes, stage_arrays)
         self._descend_t = self._sweeper._descend_t(None)
-        self._cover_cache: NDArray[np.uint64] | None = None
+        self._covered: int | None = None
         self.last_update_stats: dict[str, int] = {
             "dirty_rows": sum(self.level_sizes[1:]),
             "total_rows": sum(self.level_sizes[1:]),
@@ -484,7 +620,7 @@ class IncrementalSweeper:
             dirty_rows += int(dirty.size)
         self._sweeper = new_sweeper
         self._descend_t = masks
-        self._cover_cache = None
+        self._covered = None
         self.last_update_stats = {
             "dirty_rows": dirty_rows,
             "total_rows": sum(new_sizes[1:]),
@@ -494,13 +630,13 @@ class IncrementalSweeper:
     # ------------------------------------------------------------------
     # Queries (natural layout, matching StageSweeper semantics)
     # ------------------------------------------------------------------
-    def _cover_t(self) -> NDArray[np.uint64]:
-        if self._cover_cache is None:
-            cover = self._descend_t[-1]
-            for stage in reversed(self._sweeper.stages):
-                cover = stage.or_down(cover, None)
-            self._cover_cache = cover | _singletons_t(self.n1)
-        return self._cover_cache
+    def _cover_blocks(self) -> Iterator[tuple[int, NDArray[np.uint64]]]:
+        return self._sweeper._cover_blocks(None, top_t=self._descend_t[-1])
+
+    def _unmasked_covered(self) -> int:
+        if self._covered is None:
+            self._covered = _count_covered(self._cover_blocks())
+        return self._covered
 
     def descendant_masks(self) -> list[NDArray[np.uint64]]:
         """Per-level ``(N_level, W)`` packed descendant-leaf sets."""
@@ -508,18 +644,17 @@ class IncrementalSweeper:
 
     def coverage_masks(self) -> NDArray[np.uint64]:
         """Per-leaf packed up*/down* coverage (own bit included)."""
-        return _natural(self._cover_t())
+        return _fill(self.n1, self._cover_blocks())
 
     def has_updown(self) -> bool:
         """Whether every leaf pair has a common ancestor."""
         if self.n1 == 0:
             return True
-        cover = self._cover_t()
-        return bool(np.all(cover[:, :-1] == full_row(self.n1)[:, None]))
+        return self._unmasked_covered() == self.n1 * self.n1
 
     def reachable_fraction(self) -> float:
         """Fraction of ordered leaf pairs joined by an up*/down* path."""
         if self.n1 < 2:
             return 1.0
-        covered = int(popcount(self._cover_t()).sum()) - self.n1
+        covered = self._unmasked_covered() - self.n1
         return covered / (self.n1 * (self.n1 - 1))

@@ -79,25 +79,31 @@ def _stage_failure_positions(
 
     Maps the flat :class:`Link` failure order onto the sweeper's
     per-stage edge arrays once, so each binary-search probe afterwards
-    is a single vectorized position comparison.
+    is a single vectorized position comparison.  Links are keyed as
+    ``lo * S + hi`` (``S`` switches); a link repeated in ``order``
+    takes its first position.
     """
     import numpy as np
 
-    first_position: dict[tuple[int, int], int] = {}
-    for position, link in enumerate(order):
-        first_position.setdefault((link.lo, link.hi), position)
     never = len(order)
+    span = topo.num_switches
+    keys = np.fromiter(
+        (link.lo * span + link.hi for link in order), dtype=np.int64, count=never
+    )
+    # return_index gives each key's first occurrence; a sentinel above
+    # every key keeps the searchsorted slots in range.
+    unique, first = np.unique(keys, return_index=True)
+    unique = np.append(unique, np.iinfo(np.int64).max)
+    first = np.append(first, never)
     positions = []
     for stage, (src, dst) in enumerate(sweeper.edge_keys()):
-        lo_off = topo.switch_id(stage, 0)
-        hi_off = topo.switch_id(stage + 1, 0)
-        lo = (src + lo_off).tolist()
-        hi = (dst + hi_off).tolist()
+        lo = src + topo.switch_id(stage, 0)
+        hi = dst + topo.switch_id(stage + 1, 0)
+        stage_keys = lo.astype(np.int64) * span + hi
+        slot = np.searchsorted(unique, stage_keys)
         positions.append(
-            np.fromiter(
-                (first_position.get(pair, never) for pair in zip(lo, hi)),
-                dtype=np.int64,
-                count=len(lo),
+            np.where(unique[slot] == stage_keys, first[slot], never).astype(
+                np.int64, copy=False
             )
         )
     return positions
