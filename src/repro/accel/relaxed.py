@@ -160,7 +160,6 @@ def run_relaxed(sim) -> SimResult:
     warmup = params.warmup_cycles
     vcs = params.virtual_channels
     rate = sim.load / phits  # packets / terminal / cycle
-    topo = sim.topo
     traffic = sim.traffic
     obs = sim.observer
     direct = sim._direct
@@ -168,7 +167,7 @@ def run_relaxed(sim) -> SimResult:
     iterations = params.arbitration_iterations
     trace_limit = sim.trace_limit
     traces = sim.traces
-    num_terminals = topo.num_terminals
+    num_terminals = sim.topo.num_terminals
     hseed = key_seed(params.seed)
 
     # Delivery statistics accumulate in locals (flushed into ``stats``
@@ -198,14 +197,12 @@ def run_relaxed(sim) -> SimResult:
     n_keys = len(cand_lists)
     routable = (table.flags != table.UNROUTABLE).tolist()
 
-    ch_src = sim.ch_src
     ch_dst = sim.ch_dst
     ch_kind = sim.ch_kind
     ch_peer = sim.ch_peer
     ch_slots = sim.ch_slots
     ch_queues = sim.ch_queues
     ch_blocked = sim.ch_blocked
-    eject_channel = sim.eject_channel
     inject_channel = sim.inject_channel
     n_ch = len(ch_kind)
     n_sw = len(sim.in_units)
@@ -219,8 +216,8 @@ def run_relaxed(sim) -> SimResult:
     busy_np = np.array(sim.ch_busy, dtype=np.int64)
     busycyc_np = np.array(sim.ch_busy_cycles, dtype=np.int64)
 
-    # ---- destination decomposition (shared with the fast path) --------
-    dest_switch, hosts, leaf_switch, dest_leaf, vcs_cap = destination_layout(sim)
+    # ---- destination encoding (shared with the fast path) -------------
+    dest_key, dest_home, vcs_cap = destination_layout(sim)
     # Class rows: one per VC on direct networks; on folded Clos 0 = all
     # VCs, 1 = Valiant lower half, 2 = upper half.
     n_classes = vcs if direct else 3
@@ -269,7 +266,7 @@ def run_relaxed(sim) -> SimResult:
     sw_np = np.array(unit_switch, dtype=np.int64)
     cid_np = np.array(unit_cid, dtype=np.int64)
 
-    cand_ext, width = build_relaxed_candidates(sim)
+    cand_ext, _ = build_relaxed_candidates(sim)
     blocked_row = n_keys
     deliver_base = n_keys + 1
 
@@ -319,11 +316,9 @@ def run_relaxed(sim) -> SimResult:
         bit_table = [
             [w for w in range(vcs) if (m >> w) & 1] for m in range(1 << vcs)
         ]
-        full_vc_mask = (1 << vcs) - 1
     else:
         free_mask = []
         bit_table = []
-        full_vc_mask = 0
 
     # ---- head exposure --------------------------------------------------
     def expose_general(u: int, switch: int, now: int) -> None:
@@ -336,43 +331,30 @@ def run_relaxed(sim) -> SimResult:
                 ready = blocked
         ready_a[u] = ready
         serial_a[u] = packet.serial
-        if direct:
-            dsw = dest_switch[packet.dst]
-            key = -1 if switch == dsw else switch * n_dests + dsw
-            h = packet.hops
-            cls = h if h < vcs_cap else vcs_cap
+        via = packet.via
+        if via is not None and switch == dest_home[via]:
+            packet.via = via = None  # randomization phase complete
+        target = packet.dst if via is None else via
+        if via is None and switch == dest_home[target]:
+            vkey_a[u] = deliver_base + target
         else:
-            via = packet.via
-            key = None
-            if via is not None:
-                via_leaf = via // hosts
-                if switch == leaf_switch[via_leaf]:
-                    packet.via = None  # randomization phase complete
-                else:
-                    key = switch * n_dests + via_leaf
-                    cls = 1 if valiant else 0
-            if key is None:
-                dleaf = dest_leaf[packet.dst]
-                key = (
-                    -1
-                    if switch == leaf_switch[dleaf]
-                    else switch * n_dests + dleaf
-                )
-                cls = 2 if valiant else 0
-        cls_a[u] = cls
-        if key < 0:
-            vkey_a[u] = deliver_base + packet.dst
-        elif cand_lists[key] is not None:
-            vkey_a[u] = key
-        else:
-            if not direct:
-                # Unroutable head on folded Clos: replay the reference
-                # router so the identical RoutingError surfaces (cannot
+            key = switch * n_dests + dest_key[target]
+            if cand_lists[key] is not None:
+                vkey_a[u] = key
+            else:
+                # Unroutable head: replay the reference router so a
+                # folded Clos raises the identical RoutingError (cannot
                 # happen for generated traffic -- injection filters by
                 # the routability table -- but keeps the engines'
                 # failure behavior aligned).
                 sim._output_candidates(switch, packet)
-            vkey_a[u] = blocked_row
+                vkey_a[u] = blocked_row
+        if direct:
+            h = packet.hops
+            cls_a[u] = h if h < vcs_cap else vcs_cap
+        elif valiant:
+            cls_a[u] = 2 if via is None else 1
+        # Plain folded Clos keeps class row 0 (every VC) throughout.
 
     # The dominant configuration (folded Clos, no Valiant: single class
     # row, no ``via`` phase, ``cls`` stays 0) gets its exposure logic
@@ -388,11 +370,10 @@ def run_relaxed(sim) -> SimResult:
         for s in range(n_sw):
             row = []
             for d in range(num_terminals):
-                dleaf = dest_leaf[d]
-                if s == leaf_switch[dleaf]:
+                if s == dest_home[d]:
                     row.append(deliver_base + d)
                 else:
-                    k = s * n_dests + dleaf
+                    k = s * n_dests + dest_key[d]
                     row.append(k if cand_lists[k] is not None else -1)
             vkey_of.append(row)
     else:
@@ -552,22 +533,19 @@ def run_relaxed(sim) -> SimResult:
         # -- arrivals ---------------------------------------------------
         while gp < n_arr and arr_time_l[gp] == t:
             terminal = arr_term_l[gp]
+            k = gp
+            gp += 1
             if flow_mode:
                 # Scheduled release: destination and serial are pinned
                 # by the schedule (serials identify flows across
                 # engines); valiant detours below stay keyed by serial.
-                dst = arr_dst_l[gp]
-                serial = arr_serial_l[gp]
-                gp += 1
-                if serial >= next_serial:
-                    next_serial = serial + 1
-                packet = Packet(terminal, dst, t, serial=serial)
+                dst = arr_dst_l[k]
+                serial = arr_serial_l[k]
+            elif dead[terminal]:
+                continue
             else:
-                if dead[terminal]:
-                    gp += 1
-                    continue
                 if uniform_dst:
-                    dst = arr_dst_l[gp]
+                    dst = arr_dst_l[k]
                 else:
                     try:
                         dst = destination(
@@ -575,7 +553,7 @@ def run_relaxed(sim) -> SimResult:
                             KeyedStream(
                                 hseed,
                                 terminal,
-                                (arr_k_l[gp] << SITE_BITS) | SITE_TRAFFIC,
+                                (arr_k_l[k] << SITE_BITS) | SITE_TRAFFIC,
                             ),
                         )
                     except LookupError:
@@ -583,47 +561,29 @@ def run_relaxed(sim) -> SimResult:
                         # terminal on the first failed lookup; mirror
                         # that.
                         dead[terminal] = 1
-                        gp += 1
                         continue
-                gp += 1
-                packet = Packet(terminal, dst, t, serial=next_serial)
-                next_serial += 1
+                serial = next_serial
+            # ---- one admission step (mirrors Simulator._admit) ----
+            if serial >= next_serial:
+                next_serial = serial + 1
+            packet = Packet(terminal, dst, t, serial=serial)
             generated_local += 1
-            if packet.serial < trace_limit:
-                traces[packet.serial] = [(t, "generate", terminal)]
+            if serial < trace_limit:
+                traces[serial] = [(t, "generate", terminal)]
+            home = dest_home[terminal]
             if valiant:
-                src_leaf_switch = leaf_switch[terminal // hosts]
                 for attempt in range(8):
                     via = (
-                        draw64(
-                            hseed,
-                            packet.serial,
-                            (attempt << SITE_BITS) | SITE_VIA,
-                        )
+                        draw64(hseed, serial, (attempt << SITE_BITS) | SITE_VIA)
                         % num_terminals
                     )
-                    via_leaf = via // hosts
                     if (
-                        routable[src_leaf_switch * n_dests + via_leaf]
-                        and routable[
-                            leaf_switch[via_leaf] * n_dests
-                            + dest_leaf[dst]
-                        ]
+                        routable[home * n_dests + dest_key[via]]
+                        and routable[dest_home[via] * n_dests + dest_key[dst]]
                     ):
                         packet.via = via
                         break
-                else:
-                    packet.via = None
-            if direct:
-                ok = routable[
-                    dest_switch[terminal] * n_dests + dest_switch[dst]
-                ]
-            else:
-                ok = routable[
-                    leaf_switch[terminal // hosts] * n_dests
-                    + dest_leaf[dst]
-                ]
-            if not ok:
+            if not routable[home * n_dests + dest_key[dst]]:
                 unroutable_local += 1
                 if obs is not None:
                     obs.on_drop(t, terminal, packet)
@@ -934,19 +894,5 @@ def run_relaxed(sim) -> SimResult:
     # (post-run inspection reads them; identity is preserved).
     sim.ch_busy[:] = busy_np.tolist()
     sim.ch_busy_cycles[:] = busycyc_np.tolist()
-    # Reference-loop state mirrors (kept for debugging parity).
-    sim._heap = []
-    sim._seq = 0
-    sim._arb_marks = set()
     sim._next_serial = next_serial
-    result = SimResult.from_stats(
-        stats,
-        offered_load=sim.load,
-        num_terminals=num_terminals,
-        traffic=traffic.name,
-        topology=topo.name,
-        unroutable_packets=sim.unroutable_packets,
-    )
-    if obs is not None:
-        obs.on_run_end(sim, result)
-    return result
+    return sim._finish_run(stats)

@@ -368,7 +368,10 @@ class Simulator:
                     self._release_flows(a, time, horizon)
                 else:
                     self._generate(a, time, rate, log1m, horizon)
+        return self._finish_run(stats)
 
+    def _finish_run(self, stats: SimStats) -> SimResult:
+        """The run epilogue of every engine: summarize, then notify."""
         result = SimResult.from_stats(
             stats,
             offered_load=self.load,

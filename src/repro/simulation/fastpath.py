@@ -182,26 +182,28 @@ def build_candidate_table(sim) -> CsrTable:
     return table
 
 
-def destination_layout(sim) -> tuple[list[int], int, list[int], list[int], int]:
-    """Per-terminal destination decomposition, computed once per run.
+def destination_layout(sim) -> tuple[list[int], list[int], int]:
+    """Per-terminal destination encoding, computed once per run.
 
-    Returns ``(dest_switch, hosts, leaf_switch, dest_leaf, vcs_cap)``.
-    Direct networks route towards ``dest_switch[terminal]`` and cap the
-    hop-indexed VC class at ``vcs_cap``; folded Clos networks route
-    towards leaf ``dest_leaf[terminal]`` (``hosts`` terminals per leaf),
-    whose switch id is ``leaf_switch[leaf]``.  The fields the topology
-    kind does not use are empty (or 0).  Shared by the fast and relaxed
-    engines.
+    Returns ``(dest_key, dest_home, vcs_cap)``, one encoding for both
+    topology kinds.  ``dest_key[t]`` is terminal ``t``'s destination
+    column in :func:`build_candidate_table` (its leaf on a folded Clos,
+    its switch on a direct network) and ``dest_home[t]`` is the switch
+    that ejects it.  So a packet for ``t`` at ``switch`` is delivered
+    when ``switch == dest_home[t]`` and otherwise takes the candidates
+    keyed ``switch * num_dests + dest_key[t]``, and terminal ``s`` can
+    reach ``t`` exactly when key ``dest_home[s] * num_dests +
+    dest_key[t]`` is routable.  ``vcs_cap`` caps the hop-indexed VC
+    class of direct networks (0 on folded Clos).  Shared by the fast
+    and relaxed engines.
     """
     topo = sim.topo
-    num_terminals = topo.num_terminals
+    terminals = range(topo.num_terminals)
+    dest_home = [topo.terminal_switch(t) for t in terminals]
     if sim._direct:
-        dest_switch = [topo.terminal_switch(t) for t in range(num_terminals)]
-        return dest_switch, 0, [], [], sim.params.virtual_channels - 1
+        return dest_home, dest_home, sim.params.virtual_channels - 1
     hosts = topo.hosts_per_leaf
-    leaf_switch = [topo.switch_id(0, i) for i in range(topo.num_leaves)]
-    dest_leaf = [t // hosts for t in range(num_terminals)]
-    return [], hosts, leaf_switch, dest_leaf, 0
+    return [t // hosts for t in terminals], dest_home, 0
 
 
 def run_fast(sim) -> SimResult:
@@ -222,7 +224,6 @@ def run_fast(sim) -> SimResult:
     warmup = params.warmup_cycles
     vcs = params.virtual_channels
     rate = sim.load / phits  # packets / terminal / cycle
-    topo = sim.topo
     traffic = sim.traffic
     obs = sim.observer
     direct = sim._direct
@@ -232,7 +233,7 @@ def run_fast(sim) -> SimResult:
     rotating = params.arbiter == "rotating"
     trace_limit = sim.trace_limit
     traces = sim.traces
-    num_terminals = topo.num_terminals
+    num_terminals = sim.topo.num_terminals
 
     # ---- precomputation pass -------------------------------------------
     table = build_candidate_table(sim)
@@ -266,7 +267,7 @@ def run_fast(sim) -> SimResult:
         for row in sim.in_units
     ]
 
-    dest_switch, hosts, leaf_switch, dest_leaf, vcs_cap = destination_layout(sim)
+    dest_key, dest_home, vcs_cap = destination_layout(sim)
     half = vcs // 2
     # VC-class ranges, built once (the reference builds a range object
     # per candidate per scan): full for plain folded Clos, halves for
@@ -283,10 +284,6 @@ def run_fast(sim) -> SimResult:
     # tuples; the encoding is injective so the dedup set is the same).
     n_sw = len(units)
     arb_marks: set[int] = set()
-    # Reference-loop state mirrors (kept for debugging parity).
-    sim._heap = []
-    sim._seq = 0
-    sim._arb_marks = arb_marks
     arb_pointers: dict[int, int] | None = None
     choice = rng.choice
     next_serial = sim._next_serial
@@ -360,32 +357,21 @@ def run_fast(sim) -> SimResult:
                         cands = None
                         via = packet.via
                         if via is not None:
-                            via_leaf = via // hosts
-                            if switch == leaf_switch[via_leaf]:
+                            if switch == dest_home[via]:
                                 packet.via = None
                                 via = None
                             else:
                                 cands = cand_lists[
-                                    switch * n_dests + via_leaf
+                                    switch * n_dests + dest_key[via]
                                 ]
                         if via is None:
                             dst = packet.dst
-                            if direct:
-                                dsw = dest_switch[dst]
-                                if switch == dsw:
-                                    deliver = True
-                                else:
-                                    cands = cand_lists[
-                                        switch * n_dests + dsw
-                                    ]
+                            if switch == dest_home[dst]:
+                                deliver = True
                             else:
-                                dleaf = dest_leaf[dst]
-                                if switch == leaf_switch[dleaf]:
-                                    deliver = True
-                                else:
-                                    cands = cand_lists[
-                                        switch * n_dests + dleaf
-                                    ]
+                                cands = cand_lists[
+                                    switch * n_dests + dest_key[dst]
+                                ]
                         if deliver:
                             # Single eject candidate: busy test only
                             # (eject channels have no VC slots), no
@@ -624,116 +610,49 @@ def run_fast(sim) -> SimResult:
             else:  # _EV_GEN -- mirrors Simulator._generate
                 terminal = a
                 if flow_rows is not None:
-                    # ---- mirrors Simulator._release_flows ----
+                    # ---- mirrors Simulator._release_flows: every
+                    # scheduled packet due now, serials pinned by the
+                    # schedule; the next release time needs no RNG ----
                     row = flow_rows[terminal]
-                    j = flow_cursor[terminal]
-                    while j < len(row) and row[j][0] == t:
-                        _, dst, serial = row[j]
-                        j += 1
-                        if serial >= next_serial:
-                            next_serial = serial + 1
-                        packet = Packet(terminal, dst, t, serial=serial)
-                        stats.generated_packets += 1
-                        if serial < trace_limit:
-                            traces[serial] = [(t, "generate", terminal)]
-                        if valiant:
-                            src_leaf_switch = leaf_switch[terminal // hosts]
-                            for _ in range(8):
-                                via = rng.randrange(num_terminals)
-                                via_leaf = via // hosts
-                                if (
-                                    routable[
-                                        src_leaf_switch * n_dests + via_leaf
-                                    ]
-                                    and routable[
-                                        leaf_switch[via_leaf] * n_dests
-                                        + dest_leaf[dst]
-                                    ]
-                                ):
-                                    packet.via = via
-                                    break
-                            else:
-                                packet.via = None
-                        if direct:
-                            ok = routable[
-                                dest_switch[terminal] * n_dests
-                                + dest_switch[dst]
-                            ]
-                        else:
-                            ok = routable[
-                                leaf_switch[terminal // hosts] * n_dests
-                                + dest_leaf[dst]
-                            ]
-                        if not ok:
-                            sim.unroutable_packets += 1
-                            if obs is not None:
-                                obs.on_drop(t, terminal, packet)
-                        else:
-                            cid = inject_channel[terminal]
-                            queue = ch_queues[cid][0]
-                            queue.append((t, packet))
-                            qlen = len(queue)
-                            if qlen > sim.max_inject_queue:
-                                sim.max_inject_queue = qlen
-                            if obs is not None:
-                                obs.on_inject(t, packet, qlen)
-                            if qlen == 1:
-                                blocked = ch_blocked[cid]
-                                when = blocked if blocked > t else t
-                                if when <= horizon:
-                                    leaf = ch_dst[cid]
-                                    mark = when * n_sw + leaf
-                                    if mark not in arb_marks:
-                                        arb_marks.add(mark)
-                                        buckets[when].append(
-                                            (_EV_ARB, leaf, 0)
-                                        )
-                    flow_cursor[terminal] = j
-                    if j < len(row) and row[j][0] <= horizon:
-                        buckets[row[j][0]].append((_EV_GEN, terminal, 0))
-                    continue
-                try:
-                    dst = destination(terminal, rng)
-                except LookupError:
-                    continue
-                packet = Packet(terminal, dst, t, serial=next_serial)
-                next_serial += 1
-                stats.generated_packets += 1
-                if packet.serial < trace_limit:
-                    traces[packet.serial] = [(t, "generate", terminal)]
-                if valiant:
-                    # ---- mirrors _assign_valiant_via ----
-                    src_leaf_switch = leaf_switch[terminal // hosts]
-                    for _ in range(8):
-                        via = rng.randrange(num_terminals)
-                        via_leaf = via // hosts
-                        if (
-                            routable[
-                                src_leaf_switch * n_dests + via_leaf
-                            ]
-                            and routable[
-                                leaf_switch[via_leaf] * n_dests
-                                + dest_leaf[dst]
-                            ]
-                        ):
-                            packet.via = via
-                            break
-                    else:
-                        packet.via = None
-                if direct:
-                    ok = routable[
-                        dest_switch[terminal] * n_dests + dest_switch[dst]
-                    ]
+                    j = k = flow_cursor[terminal]
+                    while k < len(row) and row[k][0] == t:
+                        k += 1
+                    flow_cursor[terminal] = k
+                    due = row[j:k]
+                    nxt = row[k][0] if k < len(row) else horizon + 1
                 else:
-                    ok = routable[
-                        leaf_switch[terminal // hosts] * n_dests
-                        + dest_leaf[dst]
-                    ]
-                if not ok:
-                    sim.unroutable_packets += 1
-                    if obs is not None:
-                        obs.on_drop(t, terminal, packet)
-                else:
+                    try:
+                        dst = destination(terminal, rng)
+                    except LookupError:
+                        continue
+                    due = ((t, dst, next_serial),)
+                    nxt = -1  # gap drawn after the admission's via draws
+                home = dest_home[terminal]
+                for _, dst, serial in due:
+                    # ==== mirrors Simulator._admit =======================
+                    if serial >= next_serial:
+                        next_serial = serial + 1
+                    packet = Packet(terminal, dst, t, serial=serial)
+                    stats.generated_packets += 1
+                    if serial < trace_limit:
+                        traces[serial] = [(t, "generate", terminal)]
+                    if valiant:
+                        # ---- mirrors _assign_valiant_via ----
+                        for _ in range(8):
+                            via = rng.randrange(num_terminals)
+                            if (
+                                routable[home * n_dests + dest_key[via]]
+                                and routable[
+                                    dest_home[via] * n_dests + dest_key[dst]
+                                ]
+                            ):
+                                packet.via = via
+                                break
+                    if not routable[home * n_dests + dest_key[dst]]:
+                        sim.unroutable_packets += 1
+                        if obs is not None:
+                            obs.on_drop(t, terminal, packet)
+                        continue
                     cid = inject_channel[terminal]
                     queue = ch_queues[cid][0]
                     queue.append((t, packet))
@@ -751,11 +670,12 @@ def run_fast(sim) -> SimResult:
                             if mark not in arb_marks:
                                 arb_marks.add(mark)
                                 buckets[when].append((_EV_ARB, leaf, 0))
-                if log1m is None:
-                    nxt = t + 1
-                else:
-                    u = rng.random()
-                    nxt = t + (int(log(u) / log1m) + 1 if u > 0.0 else 1)
+                if nxt < 0:
+                    if log1m is None:
+                        nxt = t + 1
+                    else:
+                        u = rng.random()
+                        nxt = t + (int(log(u) / log1m) + 1 if u > 0.0 else 1)
                 if nxt <= horizon:
                     buckets[nxt].append((_EV_GEN, terminal, 0))
 
@@ -763,14 +683,4 @@ def run_fast(sim) -> SimResult:
         t += 1
 
     sim._next_serial = next_serial
-    result = SimResult.from_stats(
-        stats,
-        offered_load=sim.load,
-        num_terminals=num_terminals,
-        traffic=traffic.name,
-        topology=topo.name,
-        unroutable_packets=sim.unroutable_packets,
-    )
-    if obs is not None:
-        obs.on_run_end(sim, result)
-    return result
+    return sim._finish_run(stats)

@@ -26,8 +26,10 @@ import pytest
 from repro.core.rfc import radix_regular_rfc, rfc_with_updown
 from repro.faults.switches import links_of_switches
 from repro.obs import MetricsObserver
+from repro.routing.table import CsrTable
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
+from repro.simulation.fastpath import build_candidate_table, destination_layout
 from repro.simulation.traffic import TrafficPattern, make_traffic
 from repro.topologies.rrn import random_regular_network
 
@@ -257,6 +259,66 @@ class TestHorizonSweep:
     def test_short_horizons(self, topologies, measure, warmup):
         params = BASE.scaled(measure_cycles=measure, warmup_cycles=warmup)
         assert_identical(*run_engines(topologies["rfc"], "uniform", 0.7, params))
+
+
+class TestDestinationEncoding:
+    """The one destination encoding both table-driven engines share.
+
+    ``destination_layout`` maps every terminal to a CSR destination
+    column (``dest_key``) and its ejecting switch (``dest_home``); the
+    engines admit a packet when key ``dest_home[src] * n_dests +
+    dest_key[dst]`` is routable.  That single expression must equal the
+    reference engine's per-packet admission test for every pair, on
+    both topology kinds and on a faulted network.
+    """
+
+    @staticmethod
+    def _check(topo, removed_links=None):
+        sim = Simulator(
+            topo,
+            make_traffic("uniform", topo.num_terminals, rng=0),
+            0.5,
+            BASE,
+            removed_links,
+        )
+        table = build_candidate_table(sim)
+        n_dests = table.num_dests
+        routable = (table.flags != CsrTable.UNROUTABLE).tolist()
+        dest_key, dest_home, _ = destination_layout(sim)
+        terminals = range(topo.num_terminals)
+        assert dest_home == [topo.terminal_switch(t) for t in terminals]
+        # A packet at its destination's home switch is delivered there.
+        for t in terminals:
+            key = dest_home[t] * n_dests + dest_key[t]
+            assert table.flags[key] == CsrTable.DELIVER
+        blocked = 0
+        for src in terminals:
+            for dst in terminals:
+                encoded = routable[dest_home[src] * n_dests + dest_key[dst]]
+                if sim._direct:
+                    expected = sim.direct_router.reachable(
+                        topo.terminal_switch(src), topo.terminal_switch(dst)
+                    )
+                else:
+                    hosts = topo.hosts_per_leaf
+                    expected = (
+                        sim.router.min_ascent(0, src // hosts, dst // hosts)
+                        >= 0
+                    )
+                assert encoded == expected, (src, dst)
+                blocked += not expected
+        return blocked
+
+    @pytest.mark.parametrize("name", ["rfc", "cft", "rrn"])
+    def test_admission_identity(self, topologies, name):
+        assert self._check(topologies[name]) == 0
+
+    def test_admission_identity_switch_faulted_rfc(self, topologies):
+        topo = topologies["rfc"]
+        dead = {topo.switch_id(2, i) for i in range(7)}
+        blocked = self._check(topo, links_of_switches(topo, dead))
+        # The fault must leave both routable and unroutable pairs.
+        assert 0 < blocked < topo.num_terminals**2
 
 
 class _AllSilentTraffic(TrafficPattern):
