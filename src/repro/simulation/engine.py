@@ -65,8 +65,9 @@ class Simulator:
     hooks fire on every inject/hop/arbitration/eject/drop.  Observers
     are pure read-only listeners (no RNG, no engine mutation), so an
     instrumented run produces the exact same :class:`SimResult` as a
-    bare one; when ``observer`` is None the hooks cost a single pointer
-    test per event.
+    bare one.  The fast and relaxed engines resolve the hooks once per
+    run (:meth:`~repro.obs.hooks.SimObserver.hook`); a hook the
+    observer does not override costs one pointer test per event.
     """
 
     def __init__(
@@ -100,6 +101,9 @@ class Simulator:
         self._next_serial = 0
 
         removed = set(removed_links or ())
+        #: Keys the per-topology route-table memo (see
+        #: :func:`repro.simulation.fastpath.route_memo`).
+        self.removed_links = frozenset(removed)
         if self._direct:
             self._build_direct_router(removed)
         else:
