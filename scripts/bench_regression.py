@@ -8,7 +8,8 @@ exactly; the script fails on any signature drift):
 * **engine** -- the cycle-level simulator's reference engine against
   the precomputed-route fast path and the relaxed counter-RNG engine
   (statistically equivalent, not bit-for-bit; gated by
-  ``--min-relaxed-speedup``), plus the observability overhead of the
+  ``--min-relaxed-speedup``; the fast path by ``--min-fast-speedup``),
+  plus the observability overhead of the
   metrics / metrics+trace observers (``BENCH_engine.json``);
 * **graphs** -- the pure-Python graph-analysis layer against the numpy
   kernels of :mod:`repro.accel` on a large RFC: all-sources batched
@@ -18,7 +19,7 @@ exactly; the script fails on any signature drift):
 
     PYTHONPATH=src python scripts/bench_regression.py [--out PATH]
         [--graphs-out PATH] [--repeats N] [--quick]
-        [--min-relaxed-speedup X]
+        [--min-fast-speedup X] [--min-relaxed-speedup X]
 
 The workload numbers are deterministic (fixed seeds); the timings are
 hardware-dependent, so compare ratios on one machine, not absolute
@@ -536,6 +537,11 @@ def main(argv: list[str] | None = None) -> int:
              "exceed this many seconds (0 disables the gate)",
     )
     parser.add_argument(
+        "--min-fast-speedup", type=float, default=0.0,
+        help="fail unless the fast (precomputed-route) engine beats the "
+             "reference by at least this ratio (0 disables the gate)",
+    )
+    parser.add_argument(
         "--min-relaxed-speedup", type=float, default=0.0,
         help="fail unless the relaxed (counter-RNG) engine beats the "
              "reference by at least this ratio (0 disables the gate)",
@@ -560,12 +566,15 @@ def main(argv: list[str] | None = None) -> int:
           f"{engines['reference']['cycles_per_sec']:,.0f} "
           f"({engines['relaxed']['speedup_vs_reference']}x speedup, "
           f"statistically equivalent -- not bit-for-bit)")
-    if args.min_relaxed_speedup > 0:
-        measured = engines["relaxed"]["speedup_vs_reference"]
-        if measured < args.min_relaxed_speedup:
+    for engine, floor in (
+        ("fast", args.min_fast_speedup),
+        ("relaxed", args.min_relaxed_speedup),
+    ):
+        measured = engines[engine]["speedup_vs_reference"]
+        if floor > 0 and measured < floor:
             raise AssertionError(
-                f"relaxed speedup {measured}x below the required "
-                f"floor {args.min_relaxed_speedup}x"
+                f"{engine} speedup {measured}x below the required "
+                f"floor {floor}x"
             )
     wl_engines = payload["workloads"]["engines"]
     print("workloads (incast): "
