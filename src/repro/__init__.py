@@ -54,7 +54,7 @@ from .topologies import (
     xgft,
 )
 
-__version__ = "1.11.2"
+__version__ = "1.12.0"
 
 __all__ = [
     "__version__",
